@@ -37,14 +37,37 @@ type equivCase struct {
 	policy sched.Policy
 	seed   uint64
 	load   float64
+	// variant names the golden of a case that shares its policy with
+	// another; empty means the policy name's prefix.
+	variant string
+	// runtime configures a learned runtime predictor, so completions move
+	// the engine's rtGen and the policy view's predictions with it.
+	runtime bool
+	// visible is Config.MaxVisibleQueue; 0 keeps the default.
+	visible int
 }
 
 func equivCases() []equivCase {
 	var cases []equivCase
-	for _, pol := range []sched.Policy{sched.FCFS{}, sched.EASY{}, sched.Conservative{}} {
+	// The last four pin what the policy-round memo and the reused view
+	// key on: a policy that attempts out of queue order, a backfill
+	// window shorter than the queue, a moving rtGen, and a visible window
+	// shorter than the queue. Their goldens were captured on the engine
+	// as it stood before that memo, which the first three cases' goldens
+	// had already held to the seed commit's behaviour.
+	for _, c := range []equivCase{
+		{policy: sched.FCFS{}},
+		{policy: sched.EASY{}},
+		{policy: sched.Conservative{}},
+		{policy: sched.SJF{}},
+		{policy: sched.EASY{Window: 32}, variant: "easyw32"},
+		{policy: sched.EASY{}, variant: "easyrt", runtime: true},
+		{policy: sched.EASY{}, variant: "easyvis4", visible: 4},
+	} {
 		for _, seed := range []uint64{1, 2, 3} {
 			for _, load := range []float64{0.75, 1.25} {
-				cases = append(cases, equivCase{policy: pol, seed: seed, load: load})
+				c.seed, c.load = seed, load
+				cases = append(cases, c)
 			}
 		}
 	}
@@ -52,7 +75,10 @@ func equivCases() []equivCase {
 }
 
 func (c equivCase) name() string {
-	pol := strings.SplitN(c.policy.Name(), "-", 2)[0]
+	pol := c.variant
+	if pol == "" {
+		pol = strings.SplitN(c.policy.Name(), "-", 2)[0]
+	}
 	return fmt.Sprintf("%s_s%d_l%03.0f", pol, c.seed, c.load*100)
 }
 
@@ -82,14 +108,23 @@ func (c equivCase) run(t *testing.T) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return run(t, Config{
+	simCfg := Config{
 		Trace:               scaled,
 		Cluster:             cl,
 		Estimator:           sa,
 		Policy:              c.policy,
 		SpuriousFailureProb: 0.2,
+		MaxVisibleQueue:     c.visible,
 		Seed:                c.seed,
-	})
+	}
+	if c.runtime {
+		rt, err := estimate.NewTsafrirRuntime(estimate.TsafrirRuntimeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		simCfg.Runtime = rt
+	}
+	return run(t, simCfg)
 }
 
 // TestEngineEquivalence replays every (policy, seed, load) cell and
