@@ -1,10 +1,11 @@
 # The full verification gate: build, vet, the custom invariant
-# analyzers (units, locks, determinism — see DESIGN.md §7), and the
-# race-enabled test suite. CI runs exactly this via `make verify`.
+# analyzers (units, locks, determinism — see DESIGN.md §7), the
+# race-enabled test suite, and the benchmark module's own vet and tests.
+# CI runs the same steps.
 
 GO ?= go
 
-.PHONY: build test lint race chaos verify bench bench3 bench4 bench7 bench8 bench9 clean
+.PHONY: build test lint race chaos benchcheck verify bench bench3 bench4 bench7 bench8 bench9 clean
 
 build:
 	$(GO) build ./...
@@ -132,7 +133,13 @@ bench9:
 		-pkg ./internal/router -bench 'RoutedSubmitComplete/mode=routed' -benchtime 1s -count 3 \
 		-note "$(BENCH9_NOTE)"
 
-verify: build lint race
+# bench/ is its own module (`go run -C bench .`), so the root ./...
+# patterns above never reach it: vet and test the harness that gates
+# performance claims where it lives.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+verify: build lint race benchcheck
 
 clean:
 	rm -f overprovlint

@@ -226,14 +226,9 @@ func (EASY) Name() string { return "easy-backfill" }
 
 // Schedule implements the EASY algorithm.
 func (e EASY) Schedule(v *View, try TryFunc) {
-	started := make([]bool, len(v.Queue))
 	head := 0
 	// Phase 1: start consecutive heads while they fit.
-	for head < len(v.Queue) {
-		if !try(head) {
-			break
-		}
-		started[head] = true
+	for head < len(v.Queue) && try(head) {
 		head++
 	}
 	if head >= len(v.Queue) {
@@ -241,7 +236,7 @@ func (e EASY) Schedule(v *View, try TryFunc) {
 	}
 	// Phase 2: reservation for the blocked head.
 	headJob := v.Queue[head]
-	shadow, extra := e.reservation(v, started, headJob)
+	shadow, extra := e.reservation(v, headJob)
 
 	limit := len(v.Queue)
 	if e.Window > 0 && head+1+e.Window < limit {
@@ -254,11 +249,8 @@ func (e EASY) Schedule(v *View, try TryFunc) {
 		if !endsBeforeShadow && !fitsExtra {
 			continue
 		}
-		if try(pos) {
-			started[pos] = true
-			if !endsBeforeShadow {
-				extra -= cand.Job.Nodes
-			}
+		if try(pos) && !endsBeforeShadow {
+			extra -= cand.Job.Nodes
 		}
 	}
 }
@@ -266,7 +258,7 @@ func (e EASY) Schedule(v *View, try TryFunc) {
 // reservation computes the head's shadow time (earliest time enough
 // eligible nodes are free) and the extra eligible nodes left over at
 // that time.
-func (e EASY) reservation(v *View, started []bool, head QueuedJob) (units.Seconds, int) {
+func (e EASY) reservation(v *View, head QueuedJob) (units.Seconds, int) {
 	eligible := 0
 	for i, np := 0, v.Cluster.NumPools(); i < np; i++ {
 		if p := v.Cluster.PoolAt(i); head.Estimate.Fits(p.Mem) {

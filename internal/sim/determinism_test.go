@@ -6,6 +6,7 @@ import (
 
 	"overprov/internal/cluster"
 	"overprov/internal/estimate"
+	"overprov/internal/sched"
 	"overprov/internal/synth"
 )
 
@@ -26,10 +27,13 @@ func detCluster(t *testing.T) *cluster.Cluster {
 	return c
 }
 
-func detRun(t *testing.T, seed uint64) *Result {
+// detConfig is the determinism tests' run: the paper's estimator under
+// FCFS on a trace generated from a fixed synth seed, so only the sim
+// seed varies between calls.
+func detConfig(t *testing.T, seed uint64) Config {
 	t.Helper()
-	// Share one generated trace across runs: Records hold *trace.Job
-	// pointers, and the engine must never mutate the jobs themselves.
+	// Records hold *trace.Job pointers, and the engine must never mutate
+	// the jobs themselves; every call generates the same trace.
 	cfg := synth.SmallConfig()
 	cfg.Seed = 7
 	tr, err := synth.Generate(cfg)
@@ -40,7 +44,7 @@ func detRun(t *testing.T, seed uint64) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return run(t, Config{
+	return Config{
 		Trace:     tr,
 		Cluster:   detCluster(t),
 		Estimator: sa,
@@ -48,7 +52,12 @@ func detRun(t *testing.T, seed uint64) *Result {
 		// points are drawn from the run's RNG.
 		SpuriousFailureProb: 0.3,
 		Seed:                seed,
-	})
+	}
+}
+
+func detRun(t *testing.T, seed uint64) *Result {
+	t.Helper()
+	return run(t, detConfig(t, seed))
 }
 
 // TestSameSeedReplaysIdentically is the replay-determinism regression
@@ -59,6 +68,34 @@ func TestSameSeedReplaysIdentically(t *testing.T) {
 	b := detRun(t, 42)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same-seed runs diverged:\nrun1: completed=%d failed=%d makespan=%v wasted=%g\nrun2: completed=%d failed=%d makespan=%v wasted=%g",
+			a.Completed, a.ResourceFailures, a.Makespan, a.WastedNodeSeconds,
+			b.Completed, b.ResourceFailures, b.Makespan, b.WastedNodeSeconds)
+	}
+}
+
+// TestImpureEstimatorUnderBackfillReplaysIdentically covers the one
+// in-tree estimator whose Estimate is not a pure query: Reinforcement
+// draws its arm from its own RNG at every call, so which arms it draws
+// depends on how often the engine asks — and under a policy the
+// failed-attempt memo makes the engine ask less. How often it asks is
+// itself a deterministic function of the run, so same seeds must still
+// replay bit-identically.
+func TestImpureEstimatorUnderBackfillReplaysIdentically(t *testing.T) {
+	once := func() *Result {
+		cfg := detConfig(t, 42)
+		rl, err := estimate.NewReinforcement(estimate.ReinforcementConfig{Seed: 5, Round: cfg.Cluster})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Estimator, cfg.Policy = rl, sched.EASY{}
+		return run(t, cfg)
+	}
+	a, b := once(), once()
+	if a.LoweredDispatches == 0 {
+		t.Fatal("Reinforcement never lowered an estimate; the run does not exercise its RNG")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same-seed Reinforcement + EASY runs diverged:\nrun1: completed=%d failed=%d makespan=%v wasted=%g\nrun2: completed=%d failed=%d makespan=%v wasted=%g",
 			a.Completed, a.ResourceFailures, a.Makespan, a.WastedNodeSeconds,
 			b.Completed, b.ResourceFailures, b.Makespan, b.WastedNodeSeconds)
 	}

@@ -53,8 +53,8 @@ func equivCases() []equivCase {
 	// key on: a policy that attempts out of queue order, a backfill
 	// window shorter than the queue, a moving rtGen, and a visible window
 	// shorter than the queue. Their goldens were captured on the engine
-	// as it stood before that memo, which the first three cases' goldens
-	// had already held to the seed commit's behaviour.
+	// as it stood just before that memo; by then the first three cases
+	// had held it to the seed commit's behaviour.
 	for _, c := range []equivCase{
 		{policy: sched.FCFS{}},
 		{policy: sched.EASY{}},

@@ -47,30 +47,26 @@ func (q *ringQueue) popFront() *jobState {
 	return js
 }
 
-// compact removes the entries among the first visible positions for
-// which drop returns true, preserving the relative order of survivors
-// (the same order the previous `kept := queue[:0]` filter produced).
-func (q *ringQueue) compact(visible int, drop func(i int) bool) {
-	w := 0
-	for i := 0; i < visible; i++ {
-		if drop(i) {
-			continue
+// compact removes the entries at positions [first, visible) that dropped
+// marks, preserving the relative order of survivors (the same order the
+// previous `kept := queue[:0]` filter produced). first must be the
+// lowest marked position: everything before it stays where it is.
+func (q *ringQueue) compact(first, visible int, dropped []bool) {
+	mask := len(q.buf) - 1
+	w := first
+	for i := first + 1; i < visible; i++ {
+		if !dropped[i] {
+			q.buf[(q.head+w)&mask] = q.buf[(q.head+i)&mask]
+			w++
 		}
-		if w != i {
-			q.buf[(q.head+w)&(len(q.buf)-1)] = q.at(i)
-		}
-		w++
-	}
-	if w == visible {
-		return
 	}
 	// Slide the unexamined tail down and nil the vacated slots.
 	for i := visible; i < q.n; i++ {
-		q.buf[(q.head+w)&(len(q.buf)-1)] = q.at(i)
+		q.buf[(q.head+w)&mask] = q.buf[(q.head+i)&mask]
 		w++
 	}
 	for i := w; i < q.n; i++ {
-		q.buf[(q.head+i)&(len(q.buf)-1)] = nil
+		q.buf[(q.head+i)&mask] = nil
 	}
 	q.n = w
 	q.maybeShrink()

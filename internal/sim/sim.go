@@ -47,12 +47,16 @@ type Config struct {
 	// reproduces classical matching (no estimation).
 	//
 	// Estimate is treated as a pure query of the estimator's state: the
-	// engine caches estimates between Feedback calls and skips
-	// scheduling rounds whose estimates provably cannot have changed.
+	// engine caches estimates between Feedback calls, skips scheduling
+	// rounds whose estimates provably cannot have changed, and, under a
+	// policy, does not ask again about a job whose last attempt found no
+	// room until a dispatch or a termination has changed what that
+	// attempt read (the failed-attempt memo, see engine.stateGen).
 	// All in-tree estimators satisfy this except Reinforcement, whose
 	// ε-greedy Estimate consumes its own RNG — runs stay
 	// seed-deterministic, but the arm-draw sequence depends on how
-	// often the engine asks.
+	// often the engine asks, and under a policy the memo makes that
+	// less often still.
 	Estimator estimate.Estimator
 	// Policy picks jobs to dispatch; defaults to strict FCFS, the
 	// paper's policy.
@@ -186,6 +190,11 @@ type jobState struct {
 	// estHandle caches the job's similarity-group handle when the
 	// estimator supports the handle fast path; -1 until resolved.
 	estHandle int32
+	// failGen is the engine's stateGen at which the job's last policy
+	// attempt found no room; 0 means no such attempt. It sits in what
+	// was padding after estHandle: the FCFS sweep walks every jobState
+	// and is sensitive to their size (pinned by TestJobStateSize).
+	failGen uint32
 }
 
 // endEvent is a scheduled termination.
@@ -355,16 +364,34 @@ type engine struct {
 	estGen int
 	rtGen  int
 
-	// Scratch buffers reused across scheduleWithPolicy rounds instead
-	// of reallocating the full sched.View every round.
-	viewQueue   []sched.QueuedJob
-	startedBuf  []bool
-	rejectedBuf []bool
+	// stateGen versions everything a can't-fit dispatch reads: it moves
+	// on every successful dispatch (pool free counts, the job's own retry
+	// fields) and on every termination (pool free counts, estimator
+	// feedback). A job whose failGen equals it would fail again, so the
+	// policy's try answers false without asking. It starts at 1 so a
+	// zero failGen never matches, and like heapEntry.seq it would wrap
+	// only after 4.3 billion events.
+	stateGen uint32
+
+	// The policy view's queue, kept across scheduleWithPolicy rounds:
+	// viewQueue[:viewValid] still mirrors the queue's first viewValid
+	// positions, so a round rebuilds only the entries behind that
+	// prefix. pushFront, a compaction (from its first dropped position)
+	// and an rtGen move cut the prefix back.
+	viewQueue []sched.QueuedJob
+	viewValid int
+	// Per-round state of try, the policy's callback: dropped marks the
+	// visible positions that started or were rejected this round,
+	// firstDropped is the lowest of them (or len(viewQueue) when there
+	// is none). dropped is all false between rounds.
+	dropped      []bool
+	firstDropped int
 
 	// runningView mirrors running index-for-index as the policies see
 	// it; sortedByEnd caches its ExpectedEnd-ascending sort (rebuilt
 	// only when runningGen moves). viewRTGen is the rtGen at which the
-	// mirror's ExpectedEnds were computed.
+	// view's runtime predictions — the mirror's ExpectedEnds and the
+	// viewQueue prefix's RuntimeEstimates — were computed.
 	runningView []sched.RunningJob
 	sortedByEnd []sched.RunningJob
 	runningGen  int
@@ -406,6 +433,7 @@ func Run(cfg Config) (*Result, error) {
 	_, e.isFCFS = cfg.Policy.(sched.FCFS)
 	e.needView = !e.isFCFS
 	e.sortedGen = -1
+	e.stateGen = 1
 	e.result.TotalNodes = cfg.Cluster.TotalNodes()
 	e.result.EstimatorName = cfg.Estimator.Name()
 	e.result.PolicyName = cfg.Policy.Name()
@@ -461,6 +489,7 @@ func (e *engine) enqueue(js *jobState, retry bool) {
 	js.enqueued = true
 	if retry {
 		e.queue.pushFront(js)
+		e.viewValid = 0
 		e.dirty |= dirtyRequeue
 	} else {
 		e.queue.pushBack(js)
@@ -511,6 +540,7 @@ func (e *engine) handleEnd(ev *endEvent) {
 		panic(err)
 	}
 	e.dirty |= dirtyFreed
+	e.stateGen++
 	e.removeRunning(ev)
 
 	elapsed := (e.now - ev.startAt).Sec()
@@ -668,18 +698,24 @@ func (e *engine) policyRunningViews() (inOrder, byEnd []sched.RunningJob) {
 	return e.runningView, e.sortedByEnd
 }
 
-// scheduleWithPolicy builds the policy view in the engine's scratch
-// buffers and honours the policy's dispatch choices.
+// scheduleWithPolicy brings the policy view up to date in the engine's
+// scratch buffers and honours the policy's dispatch choices. Its cost
+// follows what changed since the last round: only the view entries
+// behind the still-valid prefix are rebuilt, try skips jobs that failed
+// at the current stateGen, and the queue is compacted only from the
+// first position the round dropped.
 func (e *engine) scheduleWithPolicy() {
 	visible := e.queue.len()
 	if visible > e.cfg.MaxVisibleQueue {
 		visible = e.cfg.MaxVisibleQueue
 	}
-	if cap(e.viewQueue) < visible {
-		e.viewQueue = make([]sched.QueuedJob, 0, max(visible, 64))
+	if e.viewRTGen != e.rtGen {
+		// The prefix carries predictions of an older generation;
+		// policyRunningViews below brings viewRTGen up to date.
+		e.viewValid = 0
 	}
-	e.viewQueue = e.viewQueue[:0]
-	for i := 0; i < visible; i++ {
+	e.viewQueue = e.viewQueue[:e.viewValid]
+	for i := e.viewValid; i < visible; i++ {
 		js := e.queue.at(i)
 		q := sched.QueuedJob{Job: js.job, Retry: js.retry}
 		if e.cfg.Runtime != nil {
@@ -691,6 +727,7 @@ func (e *engine) scheduleWithPolicy() {
 		}
 		e.viewQueue = append(e.viewQueue, q)
 	}
+	e.viewValid = visible
 	view := sched.View{Now: e.now, Cluster: e.cfg.Cluster, Queue: e.viewQueue}
 	if visible > 0 {
 		// The head's estimate feeds backfilling reservation arithmetic;
@@ -704,38 +741,43 @@ func (e *engine) scheduleWithPolicy() {
 	}
 	view.Running, view.RunningByEnd = e.policyRunningViews()
 
-	e.startedBuf = resetBools(e.startedBuf, visible)
-	e.rejectedBuf = resetBools(e.rejectedBuf, visible)
-	started, rejectedPos := e.startedBuf, e.rejectedBuf
-	e.cfg.Policy.Schedule(&view, func(pos int) bool {
-		if pos < 0 || pos >= visible || started[pos] || rejectedPos[pos] {
-			return false
-		}
-		js := e.queue.at(pos)
-		ok, rejected := e.dispatch(js)
-		if rejected {
-			rejectedPos[pos] = true
-			return false
-		}
-		if ok {
-			started[pos] = true
-		}
-		return ok
-	})
+	if len(e.dropped) < visible {
+		e.dropped = make([]bool, 2*visible)
+	}
+	e.firstDropped = visible
+	e.cfg.Policy.Schedule(&view, e.try)
 
-	// Compact the queue, dropping started and rejected entries.
-	e.queue.compact(visible, func(i int) bool { return started[i] || rejectedPos[i] })
+	if first := e.firstDropped; first < visible {
+		e.queue.compact(first, visible, e.dropped)
+		clear(e.dropped[first:visible])
+		e.viewValid = first
+	}
 }
 
-// resetBools returns a zeroed length-n bool slice, reusing b's backing
-// array when it is large enough.
-func resetBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
+// try is the sched.TryFunc of the current round: it attempts the queued
+// job at pos and records started and rejected positions for the round's
+// compaction. A job that found no room at the current stateGen is
+// refused without a second attempt — dispatch's can't-fit path has no
+// side effects and reads only what stateGen versions (given a pure
+// Estimate, as Config.Estimator asks), so the attempt would fail again.
+func (e *engine) try(pos int) bool {
+	if pos < 0 || pos >= len(e.viewQueue) || e.dropped[pos] {
+		return false
 	}
-	b = b[:n]
-	clear(b)
-	return b
+	js := e.queue.at(pos)
+	if js.failGen == e.stateGen {
+		return false
+	}
+	started, rejected := e.dispatch(js)
+	if !started && !rejected {
+		js.failGen = e.stateGen
+		return false
+	}
+	e.dropped[pos] = true
+	if pos < e.firstDropped {
+		e.firstDropped = pos
+	}
+	return started
 }
 
 // dispatch estimates, allocates, and starts a job. It returns
@@ -774,6 +816,7 @@ func (e *engine) dispatch(js *jobState) (started, rejected bool) {
 	}
 
 	js.enqueued = false
+	e.stateGen++
 	js.rec.Dispatches++
 	e.result.Dispatches++
 	if est.Less(j.ReqMem) {
