@@ -35,12 +35,13 @@ race:
 # The fault-injection suite under the race detector: WAL crash matrix
 # (a simulated SIGKILL at every filesystem operation), torn-tail and
 # corruption recovery, graceful-degradation serving, drain deadlines,
-# and loadgen retry behaviour. `make race` already includes these;
-# this target runs only them, with -count=1 so chaos is never cached.
+# loadgen retry behaviour, and the WAL shipping / mirror replication
+# tests. `make race` already includes these; this target runs only
+# them, with -count=1 so chaos is never cached.
 CHAOS_PKGS = ./internal/wal/... ./internal/faultinject/... ./internal/server ./internal/router ./internal/repl ./cmd/schedd ./cmd/loadgen
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Crash|Torn|Chaos|Fault|Recover|Rotate|Halt|Degrade|Drain|Healthz|Retry|DiskFull|BitFlip|Wire|Group|Failover|Promot|Probe|Standby|Stalled|Membership|Replay' \
+		-run 'Crash|Torn|Chaos|Fault|Recover|Rotate|Halt|Degrade|Drain|Healthz|Retry|DiskFull|BitFlip|Wire|Group|Failover|Promot|Probe|Standby|Stalled|Membership|Replay|Ship|Mirror' \
 		$(CHAOS_PKGS)
 	$(GO) test -run '^$$' -fuzz FuzzScanRecords -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzRouterSplitMerge -fuzztime 10s ./internal/router/

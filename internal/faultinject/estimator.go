@@ -136,3 +136,14 @@ func (j *Journal) SyncStats() (records, syncs uint64) {
 	}
 	return 0, 0
 }
+
+// ShipStats forwards the inner journal's shipping counters when it has
+// them, so a fault-injected daemon still reports wal_ship_*.
+func (j *Journal) ShipStats() (polls, readBytes, sentBytes uint64) {
+	if ss, ok := j.inner.(interface {
+		ShipStats() (uint64, uint64, uint64)
+	}); ok {
+		return ss.ShipStats()
+	}
+	return 0, 0, 0
+}

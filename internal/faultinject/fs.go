@@ -147,6 +147,17 @@ func (f *faultFile) Read(p []byte) (int, error) {
 	return f.inner.Read(p)
 }
 
+// ReadAt implements wal.File, scheduled as a read like Read.
+func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if ft := f.sched.Check(OpRead, f.name); ft != nil {
+		ft.Sleep()
+		if ft.Err != nil {
+			return 0, ft.Err
+		}
+	}
+	return f.inner.ReadAt(p, off)
+}
+
 // Sync implements wal.File.
 func (f *faultFile) Sync() error {
 	if ft := f.sched.Check(OpSync, f.name); ft != nil {

@@ -11,6 +11,7 @@ import (
 	"overprov/internal/faultinject"
 	"overprov/internal/units"
 	"overprov/internal/wal"
+	"overprov/internal/wire"
 )
 
 // countingBatchJournal records how the server drives the journal's two
@@ -190,5 +191,42 @@ func TestGroupCommitServerEndToEnd(t *testing.T) {
 	}
 	if replayed != batches*batchSize {
 		t.Fatalf("recovered %d records, want %d", replayed, batches*batchSize)
+	}
+}
+
+// TestMetricsSurfaceShipStats: the journal's shipping counters reach
+// /api/v1/metrics through the optional-interface probe, also behind the
+// fault-injection wrapper, so read amplification is readable off a live
+// leader: a poll that reads exactly what it ships keeps
+// wal_ship_read_bytes == wal_ship_sent_bytes.
+func TestMetricsSurfaceShipStats(t *testing.T) {
+	l, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = l.Close() }()
+	if _, err := l.Recover(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	srv := faultServer(t, faultinject.NewSchedule(), faultinject.NewSchedule(), l)
+	h := srv.Handler()
+	do(t, h, "POST", "/api/v1/jobs", submitBody(1))
+	if w := do(t, h, "POST", "/api/v1/jobs/1/complete", `{"success":true}`); w.Code != http.StatusOK {
+		t.Fatalf("complete: %d %s", w.Code, w.Body)
+	}
+	if m := srv.Metrics(); m.WALShipPolls != 0 || m.WALShipReadBytes != 0 || m.WALShipSentBytes != 0 {
+		t.Fatalf("ship counters before any poll: %+v", m)
+	}
+	rep, err := l.ShipState(wire.WALFetch{Kind: wire.WALKindJournal, Gen: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.ShipState(wire.WALFetch{Kind: wire.WALKindJournal, Gen: 1, Off: rep.Size}); err != nil {
+		t.Fatal(err)
+	}
+	m := srv.Metrics()
+	if m.WALShipPolls != 2 || m.WALShipSentBytes != rep.Size || m.WALShipReadBytes != m.WALShipSentBytes {
+		t.Fatalf("wal_ship_polls=%d wal_ship_read_bytes=%d wal_ship_sent_bytes=%d, want 2 polls and %d bytes read and sent",
+			m.WALShipPolls, m.WALShipReadBytes, m.WALShipSentBytes, rep.Size)
 	}
 }

@@ -30,6 +30,14 @@ type MetricsView struct {
 	// completion — the quantity group commit (DESIGN.md §12) drives
 	// down; loadgen reports the ratio after a run.
 	WALSyncs uint64 `json:"wal_syncs"`
+	// WALShipPolls counts follower polls the journal answered,
+	// WALShipReadBytes the file bytes it read to answer them and
+	// WALShipSentBytes the chunk bytes it sent (all 0 when the journal
+	// does not ship). Read ÷ sent is the shipping read amplification:
+	// 1.0 when a poll reads exactly what it ships (DESIGN.md §14).
+	WALShipPolls     uint64 `json:"wal_ship_polls"`
+	WALShipReadBytes uint64 `json:"wal_ship_read_bytes"`
+	WALShipSentBytes uint64 `json:"wal_ship_sent_bytes"`
 	// DegradedEstimates counts dispatches that fell back to the user's
 	// requested capacity (the paper's no-estimation baseline) because
 	// the estimator errored; DegradedFeedbacks counts feedback events
@@ -53,6 +61,12 @@ type syncStatser interface {
 	SyncStats() (records, syncs uint64)
 }
 
+// shipStatser is the shipping-counter surface of wal.Log (and of
+// fault-injection wrappers that forward it).
+type shipStatser interface {
+	ShipStats() (polls, readBytes, sentBytes uint64)
+}
+
 // Metrics snapshots the serving counters. Reads only atomics and the
 // estimator's own counters — s.mu is not taken, so scraping metrics
 // never slows the serving path.
@@ -72,6 +86,9 @@ func (s *Server) Metrics() MetricsView {
 	}
 	if ss, ok := s.cfg.Journal.(syncStatser); ok {
 		_, m.WALSyncs = ss.SyncStats()
+	}
+	if ss, ok := s.cfg.Journal.(shipStatser); ok {
+		m.WALShipPolls, m.WALShipReadBytes, m.WALShipSentBytes = ss.ShipStats()
 	}
 	return m
 }

@@ -30,6 +30,9 @@ type FS interface {
 // File is the open-file surface the WAL uses.
 type File interface {
 	io.Reader
+	// ReadAt is (*os.File).ReadAt: WAL shipping reads one chunk at a
+	// follower's offset without touching the rest of the file.
+	io.ReaderAt
 	io.Writer
 	io.Closer
 	// Sync is (*os.File).Sync: flush to stable storage.

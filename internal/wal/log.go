@@ -95,7 +95,12 @@ type Log struct {
 	// clean generation and clears it. Guarded by mu.
 	torn bool
 
-	snapSeq   uint64
+	snapSeq uint64
+	// snapSize is the byte length of snapshot snapSeq, learned where
+	// the file is (Rotate counts what it writes, Open stats what it
+	// finds) so shipping can bound a positional read without touching
+	// the file. Guarded by mu, read beside snapSeq.
+	snapSize  int64
 	pending   []Record // validated records awaiting Recover
 	stats     RecoveryStats
 	recovered bool
@@ -117,6 +122,11 @@ type Log struct {
 	// Durability counters (SyncStats).
 	nRecords atomic.Uint64
 	nSyncs   atomic.Uint64
+
+	// Shipping counters (ShipStats).
+	shipPolls atomic.Uint64
+	shipRead  atomic.Uint64
+	shipSent  atomic.Uint64
 }
 
 func journalName(seq uint64) string  { return fmt.Sprintf("journal-%08d.wal", seq) }
@@ -144,6 +154,7 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 // without applying anything.
 type dirScan struct {
 	snapSeq    uint64
+	snapSize   int64    // byte length of snapshot snapSeq
 	journals   []uint64 // kept generations, ascending (seq ≥ snapSeq)
 	records    []Record // replayable stream across kept journals
 	truncSeq   uint64   // journal to truncate (0 = none)
@@ -165,6 +176,7 @@ func scanDir(fs FS, dir string) (*dirScan, error) {
 	}
 	sc := &dirScan{}
 	var journals, snaps []uint64
+	var newestSnap os.DirEntry
 	for _, e := range entries {
 		name := e.Name()
 		switch {
@@ -175,14 +187,19 @@ func scanDir(fs FS, dir string) (*dirScan, error) {
 				journals = append(journals, seq)
 			} else if seq, ok := parseSeq(name, "snapshot-", ".json"); ok {
 				snaps = append(snaps, seq)
+				if seq > sc.snapSeq {
+					sc.snapSeq, newestSnap = seq, e
+				}
 			}
 		}
 	}
 	sort.Slice(journals, func(i, j int) bool { return journals[i] < journals[j] })
-	for _, s := range snaps {
-		if s > sc.snapSeq {
-			sc.snapSeq = s
+	if newestSnap != nil {
+		info, err := newestSnap.Info()
+		if err != nil {
+			return nil, fmt.Errorf("wal: %w", err)
 		}
+		sc.snapSize = info.Size()
 	}
 	for _, s := range snaps {
 		if s < sc.snapSeq {
@@ -271,7 +288,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{fs: fsys, dir: dir, noSync: opts.NoSync, snapSeq: sc.snapSeq}
+	l := &Log{fs: fsys, dir: dir, noSync: opts.NoSync, snapSeq: sc.snapSeq, snapSize: sc.snapSize}
 	l.group = opts.GroupCommit && !opts.NoSync
 	l.groupWindow = opts.GroupWindow
 	l.groupMax = opts.GroupMax
@@ -574,7 +591,8 @@ func (l *Log) Rotate(save func(w io.Writer) error) error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	err = save(f)
+	cw := countWriter{w: f}
+	err = save(&cw)
 	if err == nil && !l.noSync {
 		err = f.Sync()
 	}
@@ -592,7 +610,7 @@ func (l *Log) Rotate(save func(w io.Writer) error) error {
 		return fmt.Errorf("wal: snapshot %d: %w", newSeq, err)
 	}
 	oldSnap := l.snapSeq
-	l.snapSeq = newSeq
+	l.snapSeq, l.snapSize = newSeq, cw.n
 
 	// The new snapshot covers every prior generation; delete them.
 	// Best-effort: leftovers are cleaned by the next Open or Rotate.
@@ -609,6 +627,19 @@ func (l *Log) Rotate(save func(w io.Writer) error) error {
 		_ = l.fs.Remove(filepath.Join(l.dir, snapshotName(oldSnap)))
 	}
 	return nil
+}
+
+// countWriter counts the bytes a snapshot save writes, so Rotate knows
+// the installed file's length without reading it back.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Close drains the group-commit pipeline and closes the current

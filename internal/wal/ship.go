@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 
@@ -28,70 +29,70 @@ import (
 // snapshot are immutable (rotation deletes files, it never rewrites
 // them — a read racing a deletion is answered with a reset and the
 // follower re-syncs).
+//
+// A poll costs what it ships: the live journal and the snapshot are
+// served by one positional read of exactly the chunk's bytes, bounded
+// by lengths the Log already tracks (l.size, l.snapSize), and a
+// caught-up poll opens nothing. No read handle is kept between polls —
+// a cached handle would be state that rotation has to invalidate under
+// a lock, to save one open per 256 KiB shipped.
 func (l *Log) ShipState(req wire.WALFetch) (wire.WALState, error) {
 	l.mu.Lock()
-	seq, snapSeq, size := l.seq, l.snapSeq, l.size
+	seq, snapSeq, size, snapSize := l.seq, l.snapSeq, l.size, l.snapSize
 	l.mu.Unlock()
+	l.shipPolls.Add(1)
 
-	reset := wire.WALState{
-		Kind:    req.Kind,
-		Flags:   wire.WALFlagReset,
-		Gen:     resumeGen(snapSeq),
-		SnapGen: snapSeq,
-		Seq:     seq,
-	}
-
+	reset := resetReply(req, snapSeq, seq)
 	switch req.Kind {
 	case wire.WALKindSnapshot:
 		if snapSeq == 0 || req.Gen != snapSeq {
 			return reset, nil
 		}
-		data, err := readFile(l.fs, filepath.Join(l.dir, snapshotName(snapSeq)))
-		if err != nil {
-			// Rotation replaced the snapshot between the position read
-			// and the file read; redirect rather than fail the stream.
-			return reset, nil
-		}
-		return chunkReply(req, uint64(len(data)), data, snapSeq, seq, 0), nil
+		return l.shipRange(req, reset, snapshotName(snapSeq), uint64(snapSize)), nil
 
 	case wire.WALKindJournal:
 		if req.Gen == 0 || req.Gen > seq || req.Gen < resumeGen(snapSeq) {
 			return reset, nil
 		}
-		data, err := readFile(l.fs, filepath.Join(l.dir, journalName(req.Gen)))
-		if err != nil {
-			return reset, nil
-		}
-		var valid uint64
-		var flags uint8
 		if req.Gen == seq {
 			// The live journal: serve only the acked-durable prefix.
 			// The file may be longer (bytes a failed append could not
 			// truncate away); those must never reach a follower.
-			valid = uint64(size)
-		} else {
-			// A completed generation kept by an earlier failed
-			// rotation. Its clean length is not tracked anymore, so
-			// re-derive it the way recovery would: header + every
-			// frame that checks out.
-			frames, ok, err := checkHeader(data)
-			if err != nil || !ok {
-				return reset, nil
-			}
-			_, validFrames := scanRecords(frames)
-			valid = uint64(len(journalHeader) + validFrames)
-			flags = wire.WALFlagGenDone
+			return l.shipRange(req, reset, journalName(seq), uint64(size)), nil
 		}
-		if uint64(len(data)) < valid {
-			// The position read and the file read raced a rotation
-			// (the file is a fresh, shorter generation reusing a
-			// name). Impossible for a monotonically growing journal;
-			// resync.
+		// A completed generation kept by an earlier failed rotation.
+		// Its clean length is not tracked anymore, so re-derive it the
+		// way recovery would: header + every frame that checks out.
+		// That needs the whole file, on every chunk — deliberately:
+		// this arm runs only between a failed rotation and the next
+		// successful one, and remembering the derived length would be
+		// per-generation state to invalidate for a path that is cold.
+		data, err := readFile(l.fs, filepath.Join(l.dir, journalName(req.Gen)))
+		l.shipRead.Add(uint64(len(data)))
+		if err != nil {
 			return reset, nil
 		}
-		return chunkReply(req, valid, data[:valid], snapSeq, seq, flags), nil
+		frames, ok, err := checkHeader(data)
+		if err != nil || !ok {
+			return reset, nil
+		}
+		_, validFrames := scanRecords(frames)
+		valid := uint64(len(journalHeader) + validFrames)
+		if req.Off > valid {
+			return reset, nil
+		}
+		return l.chunkReply(req, reset, valid, wire.WALFlagGenDone, data[req.Off:chunkEnd(req.Off, valid)]), nil
 	}
 	return reset, nil
+}
+
+// ShipStats reports the shipping path's counters since Open: follower
+// polls answered, file bytes read to answer them, and chunk bytes sent.
+// readBytes/sentBytes is the read amplification — 1.0 on the live
+// journal and the snapshot, above it only on the completed-generation
+// arm, which re-reads the kept journal for each chunk of it.
+func (l *Log) ShipStats() (polls, readBytes, sentBytes uint64) {
+	return l.shipPolls.Load(), l.shipRead.Load(), l.shipSent.Load()
 }
 
 // resumeGen is the oldest journal generation guaranteed on disk: the
@@ -105,34 +106,71 @@ func resumeGen(snapSeq uint64) uint64 {
 	return 1
 }
 
-// chunkReply slices one bounded chunk at req.Off out of a file's valid
-// bytes. An offset past the valid length draws a reset — the follower
-// is ahead of what this leader acked (a restarted leader that lost a
-// tail), and must re-sync from scratch.
-func chunkReply(req wire.WALFetch, valid uint64, data []byte, snapSeq, seq uint64, flags uint8) wire.WALState {
-	if req.Off > valid {
-		return wire.WALState{
-			Kind:    req.Kind,
-			Flags:   wire.WALFlagReset,
-			Gen:     resumeGen(snapSeq),
-			SnapGen: snapSeq,
-			Seq:     seq,
-		}
+// resetReply tells the follower to re-sync from the leader's current
+// positions: fetch snapshot snapSeq when one exists, then follow the
+// journals from resumeGen.
+func resetReply(req wire.WALFetch, snapSeq, seq uint64) wire.WALState {
+	return wire.WALState{
+		Kind:    req.Kind,
+		Flags:   wire.WALFlagReset,
+		Gen:     resumeGen(snapSeq),
+		SnapGen: snapSeq,
+		Seq:     seq,
 	}
-	end := req.Off + wire.MaxWALChunk
-	if end > valid {
-		end = valid
+}
+
+// chunkEnd bounds the chunk that starts at off within valid bytes.
+func chunkEnd(off, valid uint64) uint64 {
+	if end := off + wire.MaxWALChunk; end < valid {
+		return end
 	}
+	return valid
+}
+
+// chunkReply wraps one chunk of a file with valid shippable bytes; the
+// leader positions are the ones reset already carries.
+func (l *Log) chunkReply(req wire.WALFetch, reset wire.WALState, valid uint64, flags uint8, data []byte) wire.WALState {
+	l.shipSent.Add(uint64(len(data)))
 	return wire.WALState{
 		Kind:    req.Kind,
 		Flags:   flags,
 		Gen:     req.Gen,
 		Off:     req.Off,
 		Size:    valid,
-		SnapGen: snapSeq,
-		Seq:     seq,
-		Data:    data[req.Off:end],
+		SnapGen: reset.SnapGen,
+		Seq:     reset.Seq,
+		Data:    data,
 	}
+}
+
+// shipRange serves the chunk at req.Off of name's first valid bytes
+// with one positional read of exactly that chunk. An offset past the
+// valid length draws a reset — the follower is ahead of what this
+// leader acked (a restarted leader that lost a tail) and must re-sync
+// from scratch. So does a file that cannot be opened or comes back
+// short: the position read raced a rotation that deleted it. Never an
+// error, never a partial chunk.
+func (l *Log) shipRange(req wire.WALFetch, reset wire.WALState, name string, valid uint64) wire.WALState {
+	if req.Off > valid {
+		return reset
+	}
+	var data []byte
+	if n := chunkEnd(req.Off, valid) - req.Off; n > 0 {
+		f, err := l.fs.OpenFile(filepath.Join(l.dir, name), os.O_RDONLY, 0)
+		if err != nil {
+			return reset
+		}
+		data = make([]byte, n)
+		got, err := f.ReadAt(data, int64(req.Off))
+		_ = f.Close() // read-only handle: nothing to lose
+		l.shipRead.Add(uint64(got))
+		// io.ReaderAt: got < len(data) always carries an error; a full
+		// read may report io.EOF at the file's end and is still whole.
+		if uint64(got) < n || (err != nil && err != io.EOF) {
+			return reset
+		}
+	}
+	return l.chunkReply(req, reset, valid, 0, data)
 }
 
 // removeWALFiles deletes every generation-numbered WAL file and every
