@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -209,9 +210,10 @@ func TestWireCorruptFrameNeverPartiallyApplies(t *testing.T) {
 }
 
 // TestWireHTTPEquivalence drives the identical workload through the
-// wire protocol and through the HTTP batch endpoints on two identical
-// servers and requires byte-identical estimator state: the wire
-// listener must change the encoding, never the learning.
+// wire protocol, through the HTTP batch endpoints and through the
+// single-job HTTP endpoints on three identical servers and requires
+// byte-identical estimator state: the protocol and the batching must
+// change the encoding, never the learning.
 func TestWireHTTPEquivalence(t *testing.T) {
 	build := func() (*Server, *estimate.ShardedSynchronized) {
 		cl, err := cluster.New(cluster.Spec{Nodes: 64, Mem: 24}, cluster.Spec{Nodes: 64, Mem: 32})
@@ -317,16 +319,54 @@ func TestWireHTTPEquivalence(t *testing.T) {
 		}
 	}
 
-	var wireState, httpState bytes.Buffer
+	// Single-job HTTP run, same workload: one request per job, in the
+	// order the batches listed them.
+	singleSrv, singleEst := build()
+	ss := httptest.NewServer(singleSrv.Handler())
+	defer ss.Close()
+	for _, w := range waves {
+		var ids []int64
+		for _, j := range w.jobs {
+			var v JobView
+			doJSON(t, "POST", ss.URL+"/api/v1/jobs", SubmitRequest{
+				User: int(j.User), App: int(j.App), Nodes: int(j.Nodes),
+				ReqMemMB: j.ReqMemMB, ReqTimeS: j.ReqTimeS,
+			}, 201, &v)
+			ids = append(ids, v.ID)
+		}
+		for _, id := range ids {
+			var v JobView
+			doJSON(t, "POST", fmt.Sprintf("%s/api/v1/jobs/%d/complete", ss.URL, id),
+				CompleteRequest{Success: !w.fail}, 200, &v)
+			if w.fail && v.State != StateRunning {
+				t.Fatalf("failed job not re-dispatched: %+v", v)
+			}
+		}
+		if w.fail {
+			for _, id := range ids {
+				doJSON(t, "POST", fmt.Sprintf("%s/api/v1/jobs/%d/complete", ss.URL, id),
+					CompleteRequest{Success: true}, 200, nil)
+			}
+		}
+	}
+
+	var wireState, httpState, singleState bytes.Buffer
 	if err := wireEst.SaveState(&wireState); err != nil {
 		t.Fatalf("wire SaveState: %v", err)
 	}
 	if err := httpEst.SaveState(&httpState); err != nil {
 		t.Fatalf("http SaveState: %v", err)
 	}
+	if err := singleEst.SaveState(&singleState); err != nil {
+		t.Fatalf("single SaveState: %v", err)
+	}
 	if !bytes.Equal(wireState.Bytes(), httpState.Bytes()) {
 		t.Fatalf("estimator state diverged between wire and HTTP runs:\nwire: %d bytes\nhttp: %d bytes\nwire: %s\nhttp: %s",
 			wireState.Len(), httpState.Len(), wireState.String(), httpState.String())
+	}
+	if !bytes.Equal(wireState.Bytes(), singleState.Bytes()) {
+		t.Fatalf("estimator state diverged between wire and single-job HTTP runs:\nwire:   %s\nsingle: %s",
+			wireState.String(), singleState.String())
 	}
 }
 
