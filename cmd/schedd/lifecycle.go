@@ -3,56 +3,11 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"time"
 
 	"overprov/internal/server"
 )
-
-// atomicWriteFile writes path durably: the content goes to a temp file
-// in the same directory, is fsynced, atomically renamed over path, and
-// the directory is fsynced so the rename itself survives a crash. The
-// pre-WAL state saver renamed without either fsync — a crash shortly
-// after "saving" could lose the snapshot entirely (the satellite bug
-// this helper fixes).
-func atomicWriteFile(path string, write func(w io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory, making renames within it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
 
 // drainResult reports what a graceful shutdown achieved.
 type drainResult struct {

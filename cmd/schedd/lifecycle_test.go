@@ -1,13 +1,9 @@
 package main
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -18,46 +14,6 @@ import (
 	"overprov/internal/server"
 	"overprov/internal/units"
 )
-
-func TestAtomicWriteFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
-	write := func(content string) func(io.Writer) error {
-		return func(w io.Writer) error {
-			_, err := io.WriteString(w, content)
-			return err
-		}
-	}
-	if err := atomicWriteFile(path, write("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "v1" {
-		t.Fatalf("content %q, want v1", got)
-	}
-	// Overwrite is atomic: on writer failure the old content survives
-	// and no temp file is left behind.
-	boom := errors.New("snapshot failed halfway")
-	err := atomicWriteFile(path, func(w io.Writer) error {
-		io.WriteString(w, "garbage")
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("writer error not propagated: %v", err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "v1" {
-		t.Fatalf("failed write clobbered the file: %q", got)
-	}
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 1 {
-		t.Fatalf("temp file leaked: %v", entries)
-	}
-	if err := atomicWriteFile(path, write("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "v2" {
-		t.Fatalf("content %q, want v2", got)
-	}
-}
 
 // slowDaemon starts a real listener whose estimator sleeps estLatency
 // per call, so requests can be caught in flight by drain.

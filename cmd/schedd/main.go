@@ -2,17 +2,16 @@
 // the paper's Figure 2 loop in wall-clock time. Jobs are submitted over
 // the JSON API, matched using learned estimates of their actual
 // requirements, and completion reports train the estimator. Learned
-// similarity-group state can be persisted across restarts — either as
-// periodic snapshots (-state) or, for crash-grade durability, as a
-// write-ahead feedback journal with snapshot rotation (-wal-dir): every
+// similarity-group state persists across restarts in a write-ahead
+// feedback journal with periodic snapshot rotation (-wal-dir): every
 // acked completion hits the fsynced journal before the estimator trains
 // on it, and restart recovery replays exactly the acked feedback stream.
+// GET /api/v1/estimates exports the learned state on demand.
 //
 // Usage:
 //
 //	schedd -addr :8080                          # paper cluster, α=2 β=0
 //	schedd -cluster "512x32,512x24" -alpha 2    # explicit cluster spec
-//	schedd -state /var/lib/schedd/groups.json   # load + periodically save state
 //	schedd -wal-dir /var/lib/schedd/wal         # durable feedback WAL + snapshots
 //	schedd -wal-dir ... -wal-group-commit       # batched-fsync durability (group commit)
 //	schedd -wal-group-window 2ms -wal-group-max 128   # widen the commit window
@@ -78,13 +77,12 @@ func main() {
 		alpha          = flag.Float64("alpha", 2, "Algorithm 1 learning rate α")
 		beta           = flag.Float64("beta", 0, "Algorithm 1 damping β")
 		explicit       = flag.Bool("explicit", false, "accept used_mem_mb in completion reports")
-		state          = flag.String("state", "", "estimator state file (loaded at start, saved periodically)")
 		walDir         = flag.String("wal-dir", "", "feedback WAL directory (durable journal + rotated snapshots)")
 		walGroup       = flag.Bool("wal-group-commit", false, "batch concurrent WAL appends into shared fsyncs (group commit)")
 		walGroupWindow = flag.Duration("wal-group-window", 0,
 			"how long a group-commit leader lingers for more records before fsyncing (0 = commit immediately; batching still happens under load)")
 		walGroupMax = flag.Int("wal-group-max", 64, "max records per group-commit fsync window")
-		saveEach    = flag.Duration("save-interval", time.Minute, "state save / WAL rotation period")
+		saveEach    = flag.Duration("save-interval", time.Minute, "WAL rotation (snapshot) period")
 		drainFor    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain deadline")
 		shards      = flag.Int("shards", estimate.DefaultShards, "estimator lock stripes (rounded up to a power of two)")
 		debug       = flag.String("debug-addr", "", "optional second listener for /debug/pprof/ and /api/v1/metrics")
@@ -111,8 +109,8 @@ func main() {
 		if *wireAddr == "" {
 			log.Fatalf("schedd: -route requires -wire-addr (the router's client-facing listener)")
 		}
-		if *walDir != "" || *state != "" {
-			log.Fatalf("schedd: the router tier is stateless; -wal-dir/-state do not apply")
+		if *walDir != "" {
+			log.Fatalf("schedd: the router tier is stateless; -wal-dir does not apply")
 		}
 		runRouter(routerOpts{
 			routeSpec:   *route,
@@ -128,9 +126,6 @@ func main() {
 	if *follow != "" {
 		if *walDir == "" {
 			log.Fatalf("schedd: -follow requires -wal-dir (where the mirrored WAL lands)")
-		}
-		if *state != "" {
-			log.Fatalf("schedd: -follow mirrors a WAL; -state does not apply")
 		}
 		runFollower(followerOpts{
 			leaderAddr:    *follow,
@@ -153,9 +148,6 @@ func main() {
 		})
 		return
 	}
-	if *state != "" && *walDir != "" {
-		log.Fatalf("schedd: -state and -wal-dir are mutually exclusive (the WAL keeps its own snapshots)")
-	}
 	if (*walGroup || *walGroupWindow != 0) && *walDir == "" {
 		log.Fatalf("schedd: -wal-group-commit/-wal-group-window require -wal-dir")
 	}
@@ -165,7 +157,7 @@ func main() {
 		log.Fatalf("schedd: %v", err)
 	}
 	// The estimator is shared between HTTP handler goroutines and the
-	// periodic state saver below; the lock-striped wrapper is the only
+	// periodic WAL rotation below; the lock-striped wrapper is the only
 	// synchronization both sides go through. -shards 1 degenerates to a
 	// single stripe, i.e. the old global-mutex behavior.
 	est, err := estimate.NewShardedSynchronized(estimate.SuccessiveApproxConfig{
@@ -176,8 +168,7 @@ func main() {
 	}
 
 	var feedbackLog *wal.Log
-	switch {
-	case *walDir != "":
+	if *walDir != "" {
 		feedbackLog, err = wal.Open(*walDir, wal.Options{
 			GroupCommit: *walGroup,
 			GroupWindow: *walGroupWindow,
@@ -199,17 +190,6 @@ func main() {
 			log.Printf("schedd: truncated %d torn byte(s) from the journal tail (corrupt=%v, dropped %d journal(s))",
 				stats.TornBytes, stats.Corrupt, stats.DroppedJournals)
 		}
-	case *state != "":
-		if f, err := os.Open(*state); err == nil {
-			loadErr := est.LoadState(f)
-			f.Close()
-			if loadErr != nil {
-				log.Fatalf("schedd: loading %s: %v", *state, loadErr)
-			}
-			log.Printf("schedd: restored %d similarity groups from %s", est.NumGroups(), *state)
-		} else if !os.IsNotExist(err) {
-			log.Fatalf("schedd: %v", err)
-		}
 	}
 
 	srvCfg := server.Config{
@@ -225,25 +205,21 @@ func main() {
 		log.Fatalf("schedd: %v", err)
 	}
 
-	// persist makes learned state durable: WAL rotation (snapshot +
-	// fresh journal generation) when the WAL is on, otherwise an
-	// fsynced atomic rewrite of the -state file. Rotation goes through
-	// srv.Quiesce so it can never run between a completion's journal
-	// append and its estimator training — a snapshot taken in that
-	// window would miss the record while rotation deletes the journal
-	// holding it, losing acked feedback across a crash.
+	// persist rotates the WAL (snapshot + fresh journal generation) when
+	// it is on; without -wal-dir learned state lives only in memory.
+	// Rotation goes through srv.Quiesce so it can never run between a
+	// completion's journal append and its estimator training — a
+	// snapshot taken in that window would miss the record while rotation
+	// deletes the journal holding it, losing acked feedback across a
+	// crash.
 	persist := func() {
-		switch {
-		case feedbackLog != nil:
-			if err := srv.Quiesce(func() error {
-				return feedbackLog.Rotate(est.SaveState)
-			}); err != nil {
-				log.Printf("schedd: rotating WAL: %v", err)
-			}
-		case *state != "":
-			if err := atomicWriteFile(*state, est.SaveState); err != nil {
-				log.Printf("schedd: saving state: %v", err)
-			}
+		if feedbackLog == nil {
+			return
+		}
+		if err := srv.Quiesce(func() error {
+			return feedbackLog.Rotate(est.SaveState)
+		}); err != nil {
+			log.Printf("schedd: rotating WAL: %v", err)
 		}
 	}
 

@@ -81,7 +81,7 @@ func main() {
 		fmt.Printf("learned: user %d / app %d → estimate %.0fMB (last safe %.0fMB)\n",
 			g.User, g.App, g.EstimateMB, g.LastGoodMB)
 	}
-	fmt.Println("\nthe learned state survives restarts: run cmd/schedd with -state groups.json")
+	fmt.Println("\nthe learned state survives restarts: run cmd/schedd with -wal-dir waldir")
 }
 
 func submit(base string, req server.SubmitRequest) server.JobView {

@@ -8,8 +8,8 @@ import (
 // state-file saver wrote a temp file and renamed it into place
 // without fsyncing either the file or its directory, so a crash could
 // publish an empty (or vanished) state file despite the "atomic"
-// rename. The durable-rename protocol the repo now uses everywhere
-// (cmd/schedd's atomicWriteFile, wal.Log.Rotate) is:
+// rename. The durable-rename protocol the repo now uses wherever it
+// publishes a file (wal.Log.Rotate's snapshot) is:
 //
 //	write tmp → Sync(tmp) → Rename(tmp, final) → SyncDir(dir)
 //

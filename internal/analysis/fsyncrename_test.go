@@ -14,9 +14,9 @@ func TestFsyncrenameFlagged(t *testing.T) {
 	analysistest.Run(t, analysis.Fsyncrename, "fsyncrename/flagged")
 }
 
-// TestFsyncrenameClean checks the durable-rename protocol the module
-// uses (atomicWriteFile, wal.Log.Rotate) is silent, including the
-// guarded no-sync test mode.
+// TestFsyncrenameClean checks the durable-rename protocol is silent in
+// the shapes the fixtures reconstruct (a temp-file-and-rename saver and
+// wal.Log.Rotate), including the guarded no-sync test mode.
 func TestFsyncrenameClean(t *testing.T) {
 	analysistest.Run(t, analysis.Fsyncrename, "fsyncrename/clean")
 }

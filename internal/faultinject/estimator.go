@@ -71,45 +71,25 @@ func (e *Estimator) TryFeedback(o estimate.Outcome) error {
 // FeedbackLog matches internal/server's journal surface (structurally,
 // to keep this package free of a server dependency).
 type FeedbackLog interface {
-	RecordOutcome(o estimate.Outcome) error
-}
-
-// BatchFeedbackLog is the batch append surface (wal.Log.RecordOutcomes,
-// server.BatchFeedbackLog), again matched structurally.
-type BatchFeedbackLog interface {
 	RecordOutcomes(outcomes []estimate.Outcome) error
 }
 
 // Journal wraps a feedback WAL with fault injection on the append path.
 type Journal struct {
 	inner FeedbackLog
-	batch BatchFeedbackLog // inner's batch surface, nil when absent
 	sched *Schedule
 }
 
-// NewJournal wraps inner with sched. The wrapper exposes a batch
-// surface regardless of inner's: a batch against a per-record inner
-// journal degrades to a loop, mirroring the server's own fallback.
+// NewJournal wraps inner with sched.
 func NewJournal(inner FeedbackLog, sched *Schedule) *Journal {
-	j := &Journal{inner: inner, sched: sched}
-	j.batch, _ = inner.(BatchFeedbackLog)
-	return j
+	return &Journal{inner: inner, sched: sched}
 }
 
-// RecordOutcome implements the server's FeedbackLog.
-func (j *Journal) RecordOutcome(o estimate.Outcome) error {
-	if f := j.sched.Check(OpWALAppend, ""); f != nil {
-		f.Sleep()
-		if f.Err != nil {
-			return f.Err
-		}
-	}
-	return j.inner.RecordOutcome(o)
-}
-
-// RecordOutcomes implements the server's BatchFeedbackLog: one injection
-// point per batch — the batch is one append group with one ticket, so a
-// fault here fails the whole group, exactly like a leader error.
+// RecordOutcomes implements the server's FeedbackLog: one injection
+// point per call — a call is one append group with one ticket, so a
+// fault here fails the whole group, exactly like a leader error. The
+// server makes one call per completion request, so an OpWALAppend
+// occurrence count is a count of completion requests.
 func (j *Journal) RecordOutcomes(outcomes []estimate.Outcome) error {
 	if f := j.sched.Check(OpWALAppend, ""); f != nil {
 		f.Sleep()
@@ -117,15 +97,7 @@ func (j *Journal) RecordOutcomes(outcomes []estimate.Outcome) error {
 			return f.Err
 		}
 	}
-	if j.batch != nil {
-		return j.batch.RecordOutcomes(outcomes)
-	}
-	for i := range outcomes {
-		if err := j.inner.RecordOutcome(outcomes[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.inner.RecordOutcomes(outcomes)
 }
 
 // SyncStats forwards the inner journal's durability counters when it

@@ -179,27 +179,28 @@ func TestEstimatorErrorPath(t *testing.T) {
 
 func TestJournalWrapper(t *testing.T) {
 	sched := NewSchedule(FailNth(OpWALAppend, 2, nil))
-	var appended int
-	j := NewJournal(feedbackLogFunc(func(estimate.Outcome) error {
-		appended++
+	var groups []int
+	j := NewJournal(feedbackLogFunc(func(outcomes []estimate.Outcome) error {
+		groups = append(groups, len(outcomes))
 		return nil
 	}), sched)
 	o := estimate.Outcome{Success: true}
-	if err := j.RecordOutcome(o); err != nil {
+	if err := j.RecordOutcomes([]estimate.Outcome{o}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.RecordOutcome(o); !errors.Is(err, ErrInjected) {
+	// One injection point per group: the fault fails all three records.
+	if err := j.RecordOutcomes([]estimate.Outcome{o, o, o}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second append error = %v, want injected", err)
 	}
-	if err := j.RecordOutcome(o); err != nil {
+	if err := j.RecordOutcomes([]estimate.Outcome{o, o}); err != nil {
 		t.Fatal(err)
 	}
-	if appended != 2 {
-		t.Errorf("inner journal saw %d appends, want 2 (the faulted one must not pass through)", appended)
+	if len(groups) != 2 || groups[0] != 1 || groups[1] != 2 {
+		t.Errorf("inner journal saw groups %v, want [1 2] (the faulted one must not pass through)", groups)
 	}
 }
 
 // feedbackLogFunc adapts a function to the FeedbackLog interface.
-type feedbackLogFunc func(estimate.Outcome) error
+type feedbackLogFunc func([]estimate.Outcome) error
 
-func (f feedbackLogFunc) RecordOutcome(o estimate.Outcome) error { return f(o) }
+func (f feedbackLogFunc) RecordOutcomes(outcomes []estimate.Outcome) error { return f(outcomes) }

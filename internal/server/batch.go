@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -47,15 +48,24 @@ type BatchResponse struct {
 }
 
 // batchOutcome is one item's result from the protocol-independent batch
-// core. Exactly one of view (ok == true) or errMsg is meaningful. Both
-// the HTTP batch handlers and the wire server render their responses
-// from these, which is what makes the two protocols' estimator effects
-// identical by construction: they run the same submitJobs/completeJobs
-// code on the same decoded items.
+// core. Exactly one of view (ok == true) or errMsg is meaningful. The
+// single-job and batch HTTP handlers and the wire server all render
+// their responses from these, which is what makes every endpoint's
+// estimator effects identical by construction: they run the same
+// submitJobs/completeJobs code on the same decoded items. status is an
+// error item's HTTP status (400, 404, 409 or 500), which the single-job
+// endpoints answer with; the batch endpoints and the wire server carry
+// only the message.
 type batchOutcome struct {
 	view   JobView
 	errMsg string
+	status int
 	ok     bool
+}
+
+// itemError is a per-item error outcome.
+func itemError(status int, format string, args ...interface{}) batchOutcome {
+	return batchOutcome{errMsg: fmt.Sprintf(format, args...), status: status}
 }
 
 // submitJobs is the protocol-independent submit core: validate every
@@ -69,10 +79,16 @@ func (s *Server) submitJobs(reqs []SubmitRequest, out []batchOutcome) {
 	s.mu.Lock()
 	for i := range reqs {
 		if err := reqs[i].validate(); err != nil {
-			out[i] = batchOutcome{errMsg: err.Error()}
+			out[i] = itemError(http.StatusBadRequest, "%v", err)
 			continue
 		}
-		jobs[i] = s.newJobLocked(reqs[i])
+		// The job reaches the FCFS queue only when the dispatch pass
+		// drains n; until then it is invisible to dispatch.
+		s.nextID++
+		r := &reqs[i]
+		jobs[i] = &job{spec: *r, view: JobView{ID: s.nextID, State: StateQueued,
+			User: r.User, App: r.App, Nodes: r.Nodes, ReqMemMB: r.ReqMemMB}}
+		s.jobs[s.nextID] = jobs[i]
 		n.jobs = append(n.jobs, jobs[i])
 	}
 	s.mu.Unlock()
@@ -103,9 +119,9 @@ func (s *Server) completeJobs(items []CompletionItem, out []batchOutcome) {
 	n := &admission{}
 	s.mu.Lock()
 	for i, c := range items {
-		j, o, rq, cerr := s.finishLocked(c.ID, CompleteRequest{Success: c.Success, UsedMemMB: c.UsedMemMB})
-		if cerr != nil {
-			out[i] = batchOutcome{errMsg: cerr.msg}
+		j, o, rq, fail := s.finishLocked(c)
+		if j == nil {
+			out[i] = fail
 			continue
 		}
 		jobs[i] = j
@@ -119,15 +135,19 @@ func (s *Server) completeJobs(items []CompletionItem, out []batchOutcome) {
 		if j == nil {
 			continue
 		}
-		if cerr := s.releaseAlloc(j); cerr != nil {
-			out[i] = batchOutcome{errMsg: cerr.msg}
+		// A release error means the allocation books are corrupt: the
+		// item answers 500 and is counted, but the job was claimed, so
+		// it still trains and, if it failed, still requeues.
+		if err := s.shared.Release(j.alloc); err != nil {
+			s.releaseErrors.Add(1)
+			out[i] = itemError(http.StatusInternalServerError, "release: %v", err)
 			jobs[i] = nil
 		}
 	}
 	// One rotation hold and one journal append group for the whole
-	// batch (feedbackBatch): the wire Complete path funnels through
-	// here too, so both protocols share the amortized fsync.
-	s.feedbackBatch(outcomes)
+	// request: every endpoint funnels through here, so all of them share
+	// the amortized fsync.
+	s.feedback(outcomes)
 	if len(n.requeues) > 0 {
 		n.done = make(chan struct{})
 	}
@@ -180,8 +200,8 @@ func decodeBatchBody(w http.ResponseWriter, r *http.Request, v interface{}, n fu
 	return true
 }
 
-// handleSubmitBatch is handleSubmit amortized: one decode, one lock
-// acquisition and one admission node cover the whole batch.
+// handleSubmitBatch runs a whole batch through submitJobs: one decode,
+// one lock acquisition and one admission node cover every item.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	req := submitReqPool.Get().(*SubmitBatchRequest)
 	defer submitReqPool.Put(req)

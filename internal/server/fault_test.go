@@ -102,10 +102,14 @@ func TestFeedbackFaultStillAcks(t *testing.T) {
 	}
 }
 
-// countingJournal is an always-succeeding in-memory FeedbackLog.
-type countingJournal struct{ n int }
+// countingJournal is an always-succeeding in-memory FeedbackLog that
+// records the size of every append group it is handed.
+type countingJournal struct{ groups []int }
 
-func (c *countingJournal) RecordOutcome(estimate.Outcome) error { c.n++; return nil }
+func (c *countingJournal) RecordOutcomes(outcomes []estimate.Outcome) error {
+	c.groups = append(c.groups, len(outcomes))
+	return nil
+}
 
 // TestWALFaultDegradesDurability: a failing journal append must not
 // fail the completion — it costs durability, counted in wal_errors.
@@ -129,8 +133,8 @@ func TestWALFaultDegradesDurability(t *testing.T) {
 	if m.WALErrors != 1 || m.WALRecords != 1 {
 		t.Errorf("wal_errors=%d wal_records=%d, want 1 and 1", m.WALErrors, m.WALRecords)
 	}
-	if journal.n != 1 {
-		t.Errorf("inner journal saw %d appends, want 1", journal.n)
+	if len(journal.groups) != 1 || journal.groups[0] != 1 {
+		t.Errorf("inner journal saw groups %v, want one group of 1", journal.groups)
 	}
 	// The estimator still learned from both completions.
 	if m.FeedbackEvents != 2 || m.DegradedFeedbacks != 0 {
@@ -154,7 +158,7 @@ func TestJournalWriteAheadOrder(t *testing.T) {
 	srv, err := New(Config{
 		Cluster:   cl,
 		Estimator: orderSpy{Estimator: faultinject.NewEstimator(inner, estSched), order: &order},
-		Journal: journalFunc(func(estimate.Outcome) error {
+		Journal: journalFunc(func([]estimate.Outcome) error {
 			order = append(order, "journal")
 			return nil
 		}),
@@ -184,9 +188,10 @@ func (s orderSpy) TryFeedback(o estimate.Outcome) error {
 	return s.Estimator.TryFeedback(o)
 }
 
-type journalFunc func(estimate.Outcome) error
+// journalFunc adapts a function to the FeedbackLog interface.
+type journalFunc func([]estimate.Outcome) error
 
-func (f journalFunc) RecordOutcome(o estimate.Outcome) error { return f(o) }
+func (f journalFunc) RecordOutcomes(outcomes []estimate.Outcome) error { return f(outcomes) }
 
 // TestHealthzDrainFlip: the readiness endpoint serves 200 until drain
 // begins, then 503 — while the API keeps serving.

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -13,23 +15,6 @@ import (
 	"overprov/internal/wal"
 	"overprov/internal/wire"
 )
-
-// countingBatchJournal records how the server drives the journal's two
-// append surfaces.
-type countingBatchJournal struct {
-	singles int   // RecordOutcome calls
-	batches []int // RecordOutcomes call sizes
-}
-
-func (c *countingBatchJournal) RecordOutcome(estimate.Outcome) error {
-	c.singles++
-	return nil
-}
-
-func (c *countingBatchJournal) RecordOutcomes(outcomes []estimate.Outcome) error {
-	c.batches = append(c.batches, len(outcomes))
-	return nil
-}
 
 func completeBatchBody(ids []int64) string {
 	var sb strings.Builder
@@ -46,10 +31,9 @@ func completeBatchBody(ids []int64) string {
 
 // TestBatchCompletionSingleGroupAppend: a complete:batch request must
 // journal its outcomes as ONE RecordOutcomes group — one commit ticket,
-// one covering fsync — never as per-item RecordOutcome calls, while a
-// single completion keeps using the per-item surface.
+// one covering fsync — and a single completion as a group of one.
 func TestBatchCompletionSingleGroupAppend(t *testing.T) {
-	journal := &countingBatchJournal{}
+	journal := &countingJournal{}
 	cl, err := cluster.New(cluster.Spec{Nodes: 64, Mem: units.MemSize(64)})
 	if err != nil {
 		t.Fatal(err)
@@ -72,11 +56,8 @@ func TestBatchCompletionSingleGroupAppend(t *testing.T) {
 	if w := do(t, h, "POST", "/api/v1/complete:batch", completeBatchBody(ids)); w.Code != http.StatusOK {
 		t.Fatalf("complete:batch: %d %s", w.Code, w.Body)
 	}
-	if len(journal.batches) != 1 || journal.batches[0] != k {
-		t.Fatalf("batch appends = %v, want exactly one group of %d", journal.batches, k)
-	}
-	if journal.singles != 0 {
-		t.Fatalf("batch completion made %d per-item appends, want 0", journal.singles)
+	if len(journal.groups) != 1 || journal.groups[0] != k {
+		t.Fatalf("append groups = %v, want exactly one group of %d", journal.groups, k)
 	}
 	m := srv.Metrics()
 	if m.WALRecords != k || m.WALErrors != 0 {
@@ -86,13 +67,13 @@ func TestBatchCompletionSingleGroupAppend(t *testing.T) {
 		t.Fatalf("feedback_events=%d, want %d", m.FeedbackEvents, k)
 	}
 
-	// A lone completion still rides the per-item surface.
+	// A lone completion is a group of one.
 	do(t, h, "POST", "/api/v1/jobs", submitBody(9))
 	if w := do(t, h, "POST", fmt.Sprintf("/api/v1/jobs/%d/complete", k+1), `{"success":true}`); w.Code != http.StatusOK {
 		t.Fatalf("single complete: %d %s", w.Code, w.Body)
 	}
-	if journal.singles != 1 || len(journal.batches) != 1 {
-		t.Fatalf("after single complete: singles=%d batches=%v, want 1 and one group", journal.singles, journal.batches)
+	if len(journal.groups) != 2 || journal.groups[1] != 1 {
+		t.Fatalf("after single complete: groups=%v, want [%d 1]", journal.groups, k)
 	}
 }
 
@@ -103,7 +84,7 @@ func TestBatchCompletionSingleGroupAppend(t *testing.T) {
 // of the per-item path.
 func TestBatchJournalFaultDegradesWholeGroup(t *testing.T) {
 	walSched := faultinject.NewSchedule(faultinject.FailNth(faultinject.OpWALAppend, 1, nil))
-	journal := &countingBatchJournal{}
+	journal := &countingJournal{}
 	srv := faultServer(t, faultinject.NewSchedule(), walSched, journal)
 	h := srv.Handler()
 	const k = 4
@@ -119,8 +100,8 @@ func TestBatchJournalFaultDegradesWholeGroup(t *testing.T) {
 	if m.WALErrors != k || m.WALRecords != 0 {
 		t.Fatalf("wal_errors=%d wal_records=%d, want %d and 0 (one ticket covers the batch)", m.WALErrors, m.WALRecords, k)
 	}
-	if len(journal.batches) != 0 || journal.singles != 0 {
-		t.Fatalf("the failed group reached the inner journal: singles=%d batches=%v", journal.singles, journal.batches)
+	if len(journal.groups) != 0 {
+		t.Fatalf("the failed group reached the inner journal: groups=%v", journal.groups)
 	}
 	if m.FeedbackEvents != k || m.DegradedFeedbacks != 0 {
 		t.Fatalf("feedback_events=%d degraded=%d, want %d and 0 (training survives a journal fault)", m.FeedbackEvents, m.DegradedFeedbacks, k)
@@ -128,7 +109,7 @@ func TestBatchJournalFaultDegradesWholeGroup(t *testing.T) {
 }
 
 // TestGroupCommitServerEndToEnd: the full stack — HTTP batch
-// completions through feedbackBatch into a real group-commit wal.Log —
+// completions through Server.feedback into a real group-commit wal.Log —
 // must amortize fsyncs (wal_syncs ≪ wal_records in Metrics) and still
 // recover every acked record after a crash-style reopen.
 func TestGroupCommitServerEndToEnd(t *testing.T) {
@@ -228,5 +209,22 @@ func TestMetricsSurfaceShipStats(t *testing.T) {
 	if m.WALShipPolls != 2 || m.WALShipSentBytes != rep.Size || m.WALShipReadBytes != m.WALShipSentBytes {
 		t.Fatalf("wal_ship_polls=%d wal_ship_read_bytes=%d wal_ship_sent_bytes=%d, want 2 polls and %d bytes read and sent",
 			m.WALShipPolls, m.WALShipReadBytes, m.WALShipSentBytes, rep.Size)
+	}
+
+	// The served JSON carries every counter under its documented key,
+	// including release_errors (0: the allocation books are sound).
+	rec := httptest.NewRecorder()
+	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/metrics", nil))
+	var served map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &served); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"wal_ship_polls", "wal_ship_read_bytes", "wal_ship_sent_bytes", "release_errors"} {
+		if _, ok := served[key]; !ok {
+			t.Errorf("metrics JSON lacks %q: %s", key, rec.Body.Bytes())
+		}
+	}
+	if got := string(served["release_errors"]); got != "0" {
+		t.Errorf("release_errors = %s, want 0", got)
 	}
 }

@@ -44,6 +44,10 @@ type MetricsView struct {
 	// the estimator failed to learn from.
 	DegradedEstimates uint64 `json:"degraded_estimates"`
 	DegradedFeedbacks uint64 `json:"degraded_feedbacks"`
+	// ReleaseErrors counts completions whose allocation the cluster
+	// refused to take back — corrupt allocation books. Each such item
+	// answered 500; it was still trained on and, if it failed, requeued.
+	ReleaseErrors uint64 `json:"release_errors"`
 	// Estimator carries the wrapper's counters: shard count, similarity
 	// groups, estimates served, and the lock-wait-free read-path hits.
 	Estimator estimate.ConcurrencyStats `json:"estimator"`
@@ -80,6 +84,7 @@ func (s *Server) Metrics() MetricsView {
 		WALErrors:         s.walErrors.Load(),
 		DegradedEstimates: s.degradedEstimates.Load(),
 		DegradedFeedbacks: s.degradedFeedbacks.Load(),
+		ReleaseErrors:     s.releaseErrors.Load(),
 	}
 	if cs, ok := s.est.(concurrencyStatser); ok {
 		m.Estimator = cs.ConcurrencyStats()

@@ -53,8 +53,8 @@ func TestQuiesceExcludesAppendTrainWindow(t *testing.T) {
 	srv, err := New(Config{
 		Cluster:   cl,
 		Estimator: gate,
-		Journal: journalFunc(func(estimate.Outcome) error {
-			journaled.Add(1)
+		Journal: journalFunc(func(outcomes []estimate.Outcome) error {
+			journaled.Add(uint64(len(outcomes)))
 			return nil
 		}),
 	})
@@ -127,8 +127,8 @@ func TestRotationNeverSplitsAppendTrain(t *testing.T) {
 	srv, err := New(Config{
 		Cluster:   cl,
 		Estimator: trainCounter{faultinject.NewEstimator(inner, faultinject.NewSchedule()), &trained},
-		Journal: journalFunc(func(estimate.Outcome) error {
-			journaled.Add(1)
+		Journal: journalFunc(func(outcomes []estimate.Outcome) error {
+			journaled.Add(uint64(len(outcomes)))
 			return nil
 		}),
 	})

@@ -108,7 +108,8 @@ type SubmitRequest struct {
 	ReqTimeS float64 `json:"req_time_s"`
 }
 
-// validate mirrors the checks handleSubmit has always enforced.
+// validate is the per-item check submitJobs applies on every submit
+// path.
 func (r *SubmitRequest) validate() error {
 	if r.Nodes <= 0 || r.ReqMemMB <= 0 {
 		return fmt.Errorf("nodes and req_mem_mb must be positive (got %d, %g)", r.Nodes, r.ReqMemMB)
@@ -188,18 +189,10 @@ type Config struct {
 
 // FeedbackLog is the durable feedback journal the server writes ahead
 // of estimator training; *wal.Log implements it, and the fault-injection
-// harness wraps it.
+// harness wraps it. Each call journals one completion request's
+// outcomes — a single completion is a group of one — as one append
+// group: one commit ticket, one fsync, one error covering every record.
 type FeedbackLog interface {
-	RecordOutcome(o estimate.Outcome) error
-}
-
-// BatchFeedbackLog is the optional batch surface of a FeedbackLog: a
-// whole completion batch journaled as one append group — one commit
-// ticket, one fsync (wal.Log.RecordOutcomes) — instead of one fsync per
-// record. The batch paths probe for it once at construction and fall
-// back to per-record appends when absent.
-type BatchFeedbackLog interface {
-	FeedbackLog
 	RecordOutcomes(outcomes []estimate.Outcome) error
 }
 
@@ -226,14 +219,11 @@ type Server struct {
 	// side (Quiesce) spans a rotation, so a snapshot never lands between
 	// the two halves of a feedback event (see the package comment).
 	//overprov:lock rank=20 rotation
-	rotMu sync.RWMutex
-	cfg   Config
-	// batchJournal is cfg.Journal's batch surface, probed once in New
-	// (nil when the journal does not implement BatchFeedbackLog).
-	batchJournal BatchFeedbackLog
-	est          estimate.ConcurrencySafe
-	fallible     estimate.Fallible // non-nil when est has an error path
-	estName      string
+	rotMu    sync.RWMutex
+	cfg      Config
+	est      estimate.ConcurrencySafe
+	fallible estimate.Fallible // non-nil when est has an error path
+	estName  string
 	// shared is the concurrent allocation view of cfg.Cluster (per-pool
 	// rank-50 locks); after New the server allocates exclusively
 	// through it and cfg.Cluster serves only as the estimator's
@@ -300,8 +290,6 @@ func New(cfg Config) (*Server, error) {
 	// Cache the estimator's error surface once: the dispatch hot path
 	// should not repeat the type assertion per estimate.
 	s.fallible, _ = est.(estimate.Fallible)
-	// Likewise the journal's batch surface, used by completeJobs.
-	s.batchJournal, _ = cfg.Journal.(BatchFeedbackLog)
 	return s, nil
 }
 
@@ -331,44 +319,45 @@ func (s *Server) countRequests(next http.Handler) http.Handler {
 	})
 }
 
+// handleSubmit is a jobs:batch of one: it decodes its own payload and
+// renders its own response, and submitJobs does the rest.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
-	if err := req.validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.mu.Lock()
-	j := s.newJobLocked(req)
-	s.mu.Unlock()
-	n := &admission{jobs: []*job{j}, done: make(chan struct{})}
-	s.admit.push(n)
-	s.runDispatch(n)
-	s.mu.Lock()
-	v := s.viewLocked(j)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, v)
+	var out [1]batchOutcome
+	s.submitJobs([]SubmitRequest{req}, out[:])
+	writeOutcome(w, http.StatusCreated, out[0])
 }
 
-// newJobLocked creates a job record in the job table. The job reaches
-// the FCFS queue only when the dispatch pass drains its admission
-// node, so until the caller pushes one the job is invisible to
-// dispatch.
-func (s *Server) newJobLocked(req SubmitRequest) *job {
-	s.nextID++
-	j := &job{
-		spec: req,
-		view: JobView{
-			ID: s.nextID, State: StateQueued,
-			User: req.User, App: req.App,
-			Nodes: req.Nodes, ReqMemMB: req.ReqMemMB,
-		},
+// handleComplete is a complete:batch of one, like handleSubmit.
+func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
+	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad job id")
+		return
 	}
-	s.jobs[j.view.ID] = j
-	return j
+	var req CompleteRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		return
+	}
+	var out [1]batchOutcome
+	s.completeJobs([]CompletionItem{{ID: id, Success: req.Success, UsedMemMB: req.UsedMemMB}}, out[:])
+	writeOutcome(w, http.StatusOK, out[0])
+}
+
+// writeOutcome renders one batch-core outcome as a single-endpoint
+// response: the job view with okStatus, or the item's error with the
+// item's own status.
+func writeOutcome(w http.ResponseWriter, okStatus int, o batchOutcome) {
+	if !o.ok {
+		httpError(w, o.status, "%s", o.errMsg)
+		return
+	}
+	writeJSON(w, okStatus, o.view)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -391,14 +380,6 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, v)
 }
 
-// completionError is a per-job completion failure with its HTTP status.
-type completionError struct {
-	status int
-	msg    string
-}
-
-func (e *completionError) Error() string { return e.msg }
-
 // finishLocked applies one completion report to a running job: it
 // claims the job (so a concurrent duplicate report gets 409, not a
 // double release), advances its lifecycle state, and returns the
@@ -409,28 +390,27 @@ func (e *completionError) Error() string { return e.msg }
 // requeue is true the job failed but has attempts left: the caller
 // must, after feedback, push it through an admission requeue node so
 // it re-enters the queue at the head (the paper's semantics) with its
-// restored estimate.
-func (s *Server) finishLocked(id int64, req CompleteRequest) (j *job, o estimate.Outcome, requeue bool, cerr *completionError) {
-	j, ok := s.jobs[id]
+// restored estimate. A report the job cannot take returns a nil job
+// and the item's error outcome in fail.
+func (s *Server) finishLocked(c CompletionItem) (j *job, o estimate.Outcome, requeue bool, fail batchOutcome) {
+	j, ok := s.jobs[c.ID]
 	if !ok {
-		return nil, estimate.Outcome{}, false, &completionError{http.StatusNotFound,
-			fmt.Sprintf("job %d not found", id)}
+		return nil, o, false, itemError(http.StatusNotFound, "job %d not found", c.ID)
 	}
 	if j.view.State != StateRunning {
-		return nil, estimate.Outcome{}, false, &completionError{http.StatusConflict,
-			fmt.Sprintf("job %d is %s, not running", id, j.view.State)}
+		return nil, o, false, itemError(http.StatusConflict, "job %d is %s, not running", c.ID, j.view.State)
 	}
 	o = estimate.Outcome{
 		Job:       specToTraceJob(j),
 		Allocated: j.alloc.MinMem(),
-		Success:   req.Success,
+		Success:   c.Success,
 	}
-	if s.cfg.ExplicitFeedback && req.UsedMemMB > 0 {
+	if s.cfg.ExplicitFeedback && c.UsedMemMB > 0 {
 		o.Explicit = true
-		o.Used = units.MemSize(req.UsedMemMB)
+		o.Used = units.MemSize(c.UsedMemMB)
 	}
 	switch {
-	case req.Success:
+	case c.Success:
 		j.view.State = StateDone
 		s.counters.done++
 	case j.view.Attempts >= s.maxAttempts:
@@ -444,66 +424,24 @@ func (s *Server) finishLocked(id int64, req CompleteRequest) (j *job, o estimate
 		j.view.State = StateQueued
 		requeue = true
 	}
-	return j, o, requeue, nil
+	return j, o, requeue, batchOutcome{}
 }
 
-// releaseAlloc returns a finished job's nodes to the shared cluster.
-// Must be called with no lock held (pool locks are rank 50). An error
-// here means the allocation books are corrupt — it is surfaced to the
-// client as a 500 and counted, but the completion's state transition
-// has already happened (the job is claimed either way).
-func (s *Server) releaseAlloc(j *job) *completionError {
-	if err := s.shared.Release(j.alloc); err != nil {
-		s.releaseErrors.Add(1)
-		return &completionError{http.StatusInternalServerError,
-			fmt.Sprintf("release: %v", err)}
-	}
-	return nil
-}
-
-// feedback journals then trains: the outcome is appended to the
-// durable WAL (when configured) strictly before the estimator learns
-// from it, so every trained-on event is recoverable after a crash.
-// Both layers degrade instead of failing — a journal error costs
-// durability, an estimator error costs learning; neither fails the
-// completion request. Must be called with s.mu NOT held.
+// feedback journals then trains, for every outcome of one completion
+// request: the outcomes are appended to the durable WAL (when
+// configured) as one RecordOutcomes group — one commit ticket, one
+// fsync — strictly before the estimator learns from any of them, so
+// every trained-on event is recoverable after a crash. Both layers
+// degrade instead of failing — a failed group append counts every
+// record in wal_errors and training still runs, an estimator error
+// costs one event's learning; neither fails the completions, which
+// were already claimed. Must be called with s.mu NOT held.
 //
 // The append+train pair runs under rotMu's read side: a snapshot
 // rotation (Quiesce) between the two would capture estimator state
-// missing the just-journaled record and then delete the journal that
-// holds it, so the pair must be atomic with respect to rotation.
-func (s *Server) feedback(o estimate.Outcome) {
-	s.feedbacks.Add(1)
-	s.rotMu.RLock()
-	defer s.rotMu.RUnlock()
-	if s.cfg.Journal != nil {
-		if err := s.cfg.Journal.RecordOutcome(o); err != nil {
-			s.walErrors.Add(1)
-		} else {
-			s.walRecords.Add(1)
-		}
-	}
-	if s.fallible != nil {
-		if err := s.fallible.TryFeedback(o); err != nil {
-			s.degradedFeedbacks.Add(1)
-		}
-		return
-	}
-	s.est.Feedback(o)
-}
-
-// feedbackBatch is feedback amortized over a completion batch: one
-// rotation read-hold spans the whole batch's journal append and
-// training, and the append itself is one RecordOutcomes group — one
-// commit ticket, one fsync — when the journal has a batch surface.
-// The write-ahead order is per batch: every outcome is journaled
-// before any of them trains, which is strictly earlier than the
-// per-item interleaving and preserves the recovery invariant (a
-// journaled-but-untrained record replays into training on recovery).
-// Degradation matches feedback item for item: a failed group append
-// counts every record in wal_errors, training still runs, and the
-// completions were already acked.
-func (s *Server) feedbackBatch(outcomes []estimate.Outcome) {
+// missing the just-journaled records and then delete the journal that
+// holds them, so the pair must be atomic with respect to rotation.
+func (s *Server) feedback(outcomes []estimate.Outcome) {
 	if len(outcomes) == 0 {
 		return
 	}
@@ -511,22 +449,10 @@ func (s *Server) feedbackBatch(outcomes []estimate.Outcome) {
 	s.rotMu.RLock()
 	defer s.rotMu.RUnlock()
 	if s.cfg.Journal != nil {
-		if s.batchJournal != nil {
-			// One ticket for the whole batch: the error, too, covers
-			// every record in it.
-			if err := s.batchJournal.RecordOutcomes(outcomes); err != nil {
-				s.walErrors.Add(uint64(len(outcomes)))
-			} else {
-				s.walRecords.Add(uint64(len(outcomes)))
-			}
+		if err := s.cfg.Journal.RecordOutcomes(outcomes); err != nil {
+			s.walErrors.Add(uint64(len(outcomes)))
 		} else {
-			for i := range outcomes {
-				if err := s.cfg.Journal.RecordOutcome(outcomes[i]); err != nil {
-					s.walErrors.Add(1)
-				} else {
-					s.walRecords.Add(1)
-				}
-			}
+			s.walRecords.Add(uint64(len(outcomes)))
 		}
 	}
 	for i := range outcomes {
@@ -570,45 +496,6 @@ func (s *Server) estimateFor(tj *trace.Job) units.MemSize {
 		return e
 	}
 	return s.est.Estimate(tj)
-}
-
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad job id")
-		return
-	}
-	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return
-	}
-	s.mu.Lock()
-	j, o, requeue, cerr := s.finishLocked(id, req)
-	s.mu.Unlock()
-	if cerr != nil {
-		httpError(w, cerr.status, "%s", cerr.msg)
-		return
-	}
-	if cerr := s.releaseAlloc(j); cerr != nil {
-		httpError(w, cerr.status, "%s", cerr.msg)
-		return
-	}
-	// Feedback strictly before the requeue node is pushed: the
-	// re-queued failing job must see its restored estimate (Algorithm 1
-	// line 11) when the dispatch pass re-dispatches it below.
-	s.feedback(o)
-	n := &admission{}
-	if requeue {
-		n.requeues = []*job{j}
-		n.done = make(chan struct{})
-	}
-	s.admit.push(n)
-	s.runDispatch(n)
-	s.mu.Lock()
-	v := s.viewLocked(j)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

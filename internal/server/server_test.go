@@ -337,11 +337,12 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestConcurrentStateSaverDoesNotRace reproduces cmd/schedd's sharing
-// pattern: HTTP handlers train the estimator while a periodic saver
-// serialises it out-of-band. Before the estimate.Synchronized wrapper,
-// the saver read the group map without the server's lock — a data race
-// the race detector flags here the moment the wrapper is bypassed.
+// TestConcurrentStateSaverDoesNotRace: HTTP handlers train the
+// estimator while an exporter (SaveState, as GET /api/v1/estimates and
+// a WAL snapshot use it) serialises it out-of-band. Before the
+// estimate.Synchronized wrapper, such a saver read the group map
+// without the server's lock — a data race the race detector flags here
+// the moment the wrapper is bypassed.
 func TestConcurrentStateSaverDoesNotRace(t *testing.T) {
 	cl, err := cluster.New(cluster.Spec{Nodes: 2, Mem: 24}, cluster.Spec{Nodes: 2, Mem: 32})
 	if err != nil {

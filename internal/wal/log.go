@@ -442,10 +442,11 @@ func (l *Log) Recover(load func(io.Reader) error, apply func(Record) error) (Rec
 
 // RecordOutcome appends one acked feedback event durably: the framed
 // record is written and fsynced before the call returns, so a crash an
-// instant later replays it. The server calls this before training the
-// estimator — write-ahead, in the literal sense. With GroupCommit the
-// fsync is shared with concurrent callers (group.go); the return-after-
-// durable contract is identical.
+// instant later replays it. It is RecordOutcomes for a group of one,
+// which is how the server journals a single completion before training
+// the estimator — write-ahead, in the literal sense. With GroupCommit
+// the fsync is shared with concurrent callers (group.go); the
+// return-after-durable contract is identical.
 func (l *Log) RecordOutcome(o estimate.Outcome) error {
 	if l.group {
 		one := [1]estimate.Outcome{o}
